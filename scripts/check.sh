@@ -2,8 +2,9 @@
 # Sanitized check: configure with ASan+UBSan into a separate build tree,
 # build everything, run the full test suite (including obs_test), then run
 # every bench in smoke mode with tracing on and validate that each emitted
-# TRACE_<name>.json is well-formed JSON. Any sanitizer report fails the
-# run (halt_on_error).
+# TRACE_<name>.json is well-formed JSON, then check a short traced run of
+# each perfbench workload against its independent model. Any sanitizer
+# report fails the run (halt_on_error).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -78,6 +79,32 @@ assert events, f"{path}: no trace events"
 for e in events:
     assert e["ph"] in ("X", "i"), f"{path}: bad phase {e['ph']!r}"
 print(f"{path}: OK ({len(events)} events)")
+PY
+done
+
+# Executor cross-check against an oracle that shares no engine code: a
+# one-second traced run of each end-to-end benchmark workload replays
+# every compiled read through Executor::Run (rows and TotalWork must equal
+# Database::Query's), and perfbench/model.cc checks every answer. The
+# program exits 0 even when answers are wrong, so the step parses its
+# result line (the last line of stdout) for "correct": true.
+echo "== perfbench traced runs vs the plain-C++ model =="
+for workload in olap_views oltp_mixed recursive_reach; do
+  RESULT="$(env -u STARMAGIC_BENCH_SMOKE -u STARMAGIC_TRACE \
+    CARGO_TARGET_DIR="${SMOKE_DIR}/perfbench-build" \
+    python3 "${ROOT}/perfbench/run.py" --workload "${workload}" --seed 1 \
+    --seconds 1 --trace 1 | tail -n 1)"
+  python3 - "${workload}" "${RESULT}" <<'PY'
+import json, sys
+workload, line = sys.argv[1], sys.argv[2]
+try:
+    result = json.loads(line)
+except ValueError:
+    sys.exit(f"{workload}: no result line: {line[:200]!r}")
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"{workload}: wrong answers: correct={result.get('correct')} "
+             f"failed={result.get('failed')}")
+print(f"{workload}: correct ({result.get('attempted')} statements)")
 PY
 done
 

@@ -427,13 +427,33 @@ void RecordQErrors(const QueryGraph& graph, const Catalog* catalog,
   }
 }
 
+// A QueryResult holding only `pipeline`'s compile-time diagnostics; the
+// rule fires are moved out of it.
+QueryResult CompileDiagnostics(PipelineResult* pipeline) {
+  QueryResult result;
+  result.cost_no_emst = pipeline->cost_no_emst;
+  result.cost_with_emst = pipeline->cost_with_emst;
+  result.emst_applied = pipeline->emst_applied;
+  result.emst_chosen = pipeline->emst_chosen;
+  result.rewrite_applications = pipeline->rewrite_applications;
+  result.rule_fires = std::move(pipeline->rule_fires);
+  return result;
+}
+
 }  // namespace
 
-Result<QueryResult> Database::RunPipeline(PipelineResult pipeline,
+Result<QueryResult> Database::RunPipeline(PipelineResult* pipeline,
                                           const QueryOptions& options,
-                                          bool collect_box_stats,
                                           ProgressTracker* progress,
-                                          GovernorStats* governor_out) {
+                                          GovernorStats* governor_out,
+                                          std::string* analyze_warnings) {
+  if (progress != nullptr) {
+    if (pipeline->graph->top() != nullptr) {
+      CardinalityEstimator est(pipeline->graph.get(), &catalog_);
+      progress->SetEstRows(est.Estimate(pipeline->graph->top()).rows);
+    }
+    progress->SetPhase(QueryPhase::kExecute);
+  }
   // Internal introspection queries run unbudgeted (a tiny session row
   // limit must not abort the dashboard displaying it) and write no
   // metrics; sys.governor still *reports* options.budget.
@@ -445,12 +465,12 @@ Result<QueryResult> Database::RunPipeline(PipelineResult pipeline,
   exec_options.memoize_correlation =
       options.strategy != ExecutionStrategy::kCorrelated;
   exec_options.tracer = options.tracer;
-  exec_options.collect_box_stats = collect_box_stats;
+  exec_options.collect_box_stats = analyze_warnings != nullptr;
   exec_options.num_threads = options.num_threads;
   exec_options.morsel_size = options.morsel_size;
   exec_options.governor = &governor;
   exec_options.progress = progress;
-  Executor executor(pipeline.graph.get(), &catalog_, exec_options);
+  Executor executor(pipeline->graph.get(), &catalog_, exec_options);
   // Not SM_ASSIGN_OR_RETURN: governor stats and abort metrics must be
   // recorded for failing runs too — aborted queries are exactly the ones
   // the governor dashboards exist for.
@@ -460,24 +480,21 @@ Result<QueryResult> Database::RunPipeline(PipelineResult pipeline,
   RecordGovernorMetrics(metrics, governor,
                         run.ok() ? Status::OK() : run.status());
   if (!run.ok()) return run.status();
-  Table table = std::move(*run);
 
-  QueryResult result;
+  QueryResult result = CompileDiagnostics(pipeline);
   result.governor = *governor_out;
-  result.table = std::move(table);
+  result.table = std::move(*run);
   result.exec_stats = executor.stats();
-  result.cost_no_emst = pipeline.cost_no_emst;
-  result.cost_with_emst = pipeline.cost_with_emst;
-  result.emst_applied = pipeline.emst_applied;
-  result.emst_chosen = pipeline.emst_chosen;
-  result.rewrite_applications = pipeline.rewrite_applications;
-  result.rule_fires = std::move(pipeline.rule_fires);
   result.box_stats = executor.box_stats();
   result.result_rows = result.table.num_rows();
   if (options.capture_plan_report) {
-    result.plan_report = PrintGraph(*pipeline.graph);
+    result.plan_report = PrintGraph(*pipeline->graph);
   }
   RecordExecMetrics(metrics, result.exec_stats, result.result_rows);
+  if (analyze_warnings != nullptr) {
+    RecordQErrors(*pipeline->graph, &catalog_, result.box_stats, metrics,
+                  options.tracer, analyze_warnings);
+  }
   if (result.emst_applied) {
     result.decision_audit = AuditPlanDecision(
         result.cost_no_emst, result.cost_with_emst, result.emst_chosen,
@@ -570,86 +587,56 @@ int Database::CachePlan(const PipelineResult& pipeline,
   return plan_cache_.Insert(std::move(plan));
 }
 
+Result<PipelineResult> Database::LookupOrCompile(
+    bool use_cache, const std::string& key_sql, const AstSource& ast,
+    std::optional<int> num_params, const QueryOptions& options, bool* hit) {
+  *hit = false;
+  if (!use_cache) {
+    SM_ASSIGN_OR_RETURN(const AstBlob* blob, ast());
+    return OptimizeBlob(*blob, options);
+  }
+  MetricsRegistry* metrics = options.internal ? nullptr : options.metrics;
+  std::string norm_sql = PlanCache::NormalizeSql(key_sql);
+  std::string fingerprint =
+      PlanCache::Fingerprint(EffectivePipelineOptions(options));
+  PlanCache::LookupResult lookup =
+      plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
+  if (lookup.plan != nullptr) {
+    *hit = true;
+    RecordPlanCacheMetrics(metrics, /*hit=*/true, false, 0);
+    return PipelineFromCache(*lookup.plan);
+  }
+  SM_ASSIGN_OR_RETURN(const AstBlob* blob, ast());
+  SM_ASSIGN_OR_RETURN(PipelineResult pipeline, OptimizeBlob(*blob, options));
+  int evictions = CachePlan(
+      pipeline, norm_sql, fingerprint,
+      num_params.has_value() ? *num_params : CountParams(*pipeline.graph));
+  RecordPlanCacheMetrics(metrics, /*hit=*/false, lookup.invalidated,
+                         evictions);
+  return pipeline;
+}
+
 Result<QueryResult> Database::RunExplain(const AstExplain& ex,
                                          const std::string& sql,
                                          const QueryOptions& options,
                                          ProgressTracker* progress,
                                          GovernorStats* governor_out) {
-  MetricsRegistry* pc_metrics = options.internal ? nullptr : options.metrics;
   bool plan_cache_hit = false;
-  PipelineResult pipeline;
-  if (options.use_plan_cache && plan_cache_.enabled()) {
-    std::string norm_sql = PlanCache::NormalizeSql(sql);
-    std::string fingerprint =
-        PlanCache::Fingerprint(EffectivePipelineOptions(options));
-    PlanCache::LookupResult lookup =
-        plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
-    if (lookup.plan != nullptr) {
-      plan_cache_hit = true;
-      pipeline = PipelineFromCache(*lookup.plan);
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/true, false, 0);
-    } else {
-      SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*ex.query, options));
-      int evictions =
-          CachePlan(pipeline, norm_sql, fingerprint, CountParams(*pipeline.graph));
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/false, lookup.invalidated,
-                             evictions);
-    }
-  } else {
-    SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*ex.query, options));
-  }
-  if (progress != nullptr && pipeline.graph->top() != nullptr) {
-    CardinalityEstimator est(pipeline.graph.get(), &catalog_);
-    progress->SetEstRows(est.Estimate(pipeline.graph->top()).rows);
-  }
-
+  SM_ASSIGN_OR_RETURN(
+      PipelineResult pipeline,
+      LookupOrCompile(
+          options.use_plan_cache && plan_cache_.enabled(), sql,
+          [&]() -> Result<const AstBlob*> { return ex.query.get(); },
+          std::nullopt, options, &plan_cache_hit));
   QueryResult result;
-  result.plan_cache_hit = plan_cache_hit;
-  result.cost_no_emst = pipeline.cost_no_emst;
-  result.cost_with_emst = pipeline.cost_with_emst;
-  result.emst_applied = pipeline.emst_applied;
-  result.emst_chosen = pipeline.emst_chosen;
-  result.rewrite_applications = pipeline.rewrite_applications;
-
-  MetricsRegistry* metrics = options.internal ? nullptr : options.metrics;
   std::string warnings;
   if (ex.analyze) {
-    ResourceGovernor governor(
-        options.internal ? ResourceBudget::Unlimited() : options.budget,
-        options.internal ? nullptr : options.cancel_token);
-    ExecOptions exec_options;
-    exec_options.memoize_correlation =
-        options.strategy != ExecutionStrategy::kCorrelated;
-    exec_options.tracer = options.tracer;
-    exec_options.collect_box_stats = true;
-    exec_options.num_threads = options.num_threads;
-    exec_options.morsel_size = options.morsel_size;
-    exec_options.governor = &governor;
-    exec_options.progress = progress;
-    if (progress != nullptr) progress->SetPhase(QueryPhase::kExecute);
-    Executor executor(pipeline.graph.get(), &catalog_, exec_options);
-    Result<Table> run = executor.Run();
-    RecordParallelMetrics(metrics, executor.parallel_stats());
-    *governor_out = governor.Stats();
-    RecordGovernorMetrics(metrics, governor,
-                          run.ok() ? Status::OK() : run.status());
-    if (!run.ok()) return run.status();
-    Table discarded = std::move(*run);
-    result.governor = *governor_out;
-    result.exec_stats = executor.stats();
-    result.box_stats = executor.box_stats();
-    result.result_rows = discarded.num_rows();
-    RecordExecMetrics(metrics, result.exec_stats, result.result_rows);
-    RecordQErrors(*pipeline.graph, &catalog_, result.box_stats, metrics,
-                  options.tracer, &warnings);
-    if (result.emst_applied) {
-      result.decision_audit = AuditPlanDecision(
-          result.cost_no_emst, result.cost_with_emst, result.emst_chosen,
-          result.exec_stats.TotalWork(), options.mispredict_ratio, metrics,
-          options.tracer);
-      result.decision_audited = true;
-    }
+    SM_ASSIGN_OR_RETURN(result, RunPipeline(&pipeline, options, progress,
+                                            governor_out, &warnings));
+  } else {
+    result = CompileDiagnostics(&pipeline);
   }
+  result.plan_cache_hit = plan_cache_hit;
 
   std::string report =
       StrCat(ex.analyze ? "EXPLAIN ANALYZE" : "EXPLAIN",
@@ -659,9 +646,9 @@ Result<QueryResult> Database::RunExplain(const AstExplain& ex,
              " emst_chosen=", result.emst_chosen ? "true" : "false",
              " threads=", options.num_threads,
              " plan_cache=", plan_cache_hit ? "hit" : "miss", "\n");
-  if (!pipeline.rule_fires.empty()) {
+  if (!result.rule_fires.empty()) {
     report += "rule fires:\n";
-    report += RuleFireTable(pipeline.rule_fires);
+    report += RuleFireTable(result.rule_fires);
   }
 
   CardinalityEstimator estimator(pipeline.graph.get(), &catalog_);
@@ -721,7 +708,6 @@ Result<QueryResult> Database::RunExplain(const AstExplain& ex,
     report += warnings;
   }
   result.analyze_report = report;
-  result.rule_fires = std::move(pipeline.rule_fires);
   result.table = ReportTable(report);
   if (options.capture_plan_report) {
     result.plan_report = PrintGraph(*pipeline.graph);
@@ -767,39 +753,15 @@ Result<QueryResult> Database::QueryInternal(const std::string& sql,
         "through Query(); use Execute() for DDL/DML");
   }
   const auto& select = static_cast<const AstSelectStatement&>(*stmt);
-  MetricsRegistry* pc_metrics = options.internal ? nullptr : options.metrics;
   bool plan_cache_hit = false;
-  PipelineResult pipeline;
-  if (options.use_plan_cache && plan_cache_.enabled()) {
-    std::string norm_sql = PlanCache::NormalizeSql(sql);
-    std::string fingerprint =
-        PlanCache::Fingerprint(EffectivePipelineOptions(options));
-    PlanCache::LookupResult lookup =
-        plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
-    if (lookup.plan != nullptr) {
-      plan_cache_hit = true;
-      pipeline = PipelineFromCache(*lookup.plan);
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/true, false, 0);
-    } else {
-      SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*select.blob, options));
-      int evictions = CachePlan(pipeline, norm_sql, fingerprint,
-                                CountParams(*pipeline.graph));
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/false, lookup.invalidated,
-                             evictions);
-    }
-  } else {
-    SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*select.blob, options));
-  }
-  if (progress != nullptr) {
-    if (pipeline.graph->top() != nullptr) {
-      CardinalityEstimator est(pipeline.graph.get(), &catalog_);
-      progress->SetEstRows(est.Estimate(pipeline.graph->top()).rows);
-    }
-    progress->SetPhase(QueryPhase::kExecute);
-  }
-  Result<QueryResult> run = RunPipeline(
-      std::move(pipeline), options, /*collect_box_stats=*/false, progress,
-      governor_out);
+  SM_ASSIGN_OR_RETURN(
+      PipelineResult pipeline,
+      LookupOrCompile(
+          options.use_plan_cache && plan_cache_.enabled(), sql,
+          [&]() -> Result<const AstBlob*> { return select.blob.get(); },
+          std::nullopt, options, &plan_cache_hit));
+  Result<QueryResult> run =
+      RunPipeline(&pipeline, options, progress, governor_out);
   if (run.ok()) (*run).plan_cache_hit = plan_cache_hit;
   return run;
 }
@@ -826,13 +788,7 @@ Result<QueryResult> Database::RunPrepare(const AstPrepare& prep,
   }
   prepared_[key] = PreparedStatement{prep.name, prep.body_sql,
                                      prep.num_params};
-  QueryResult result;
-  result.cost_no_emst = pipeline.cost_no_emst;
-  result.cost_with_emst = pipeline.cost_with_emst;
-  result.emst_applied = pipeline.emst_applied;
-  result.emst_chosen = pipeline.emst_chosen;
-  result.rewrite_applications = pipeline.rewrite_applications;
-  result.rule_fires = std::move(pipeline.rule_fires);
+  QueryResult result = CompileDiagnostics(&pipeline);
   result.table = ReportTable(StrCat("PREPARE ", prep.name));
   return result;
 }
@@ -853,38 +809,21 @@ Result<QueryResult> Database::RunExecute(const AstExecute& exec,
                prepared.num_params, " parameter(s), got ", exec.args.size()));
   }
 
-  MetricsRegistry* pc_metrics = options.internal ? nullptr : options.metrics;
-  std::string norm_sql = PlanCache::NormalizeSql(prepared.body_sql);
-  std::string fingerprint =
-      PlanCache::Fingerprint(EffectivePipelineOptions(options));
+  // EXECUTE always consults the cache, and parses the body only on a miss.
   bool plan_cache_hit = false;
-  PipelineResult pipeline;
-  PlanCache::LookupResult lookup =
-      plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
-  if (lookup.plan != nullptr) {
-    plan_cache_hit = true;
-    pipeline = PipelineFromCache(*lookup.plan);
-    RecordPlanCacheMetrics(pc_metrics, /*hit=*/true, false, 0);
-  } else {
-    SM_ASSIGN_OR_RETURN(std::unique_ptr<AstBlob> blob,
-                        ParseQuery(prepared.body_sql));
-    SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*blob, options));
-    int evictions =
-        CachePlan(pipeline, norm_sql, fingerprint, prepared.num_params);
-    RecordPlanCacheMetrics(pc_metrics, /*hit=*/false, lookup.invalidated,
-                           evictions);
-  }
+  std::unique_ptr<AstBlob> blob;
+  SM_ASSIGN_OR_RETURN(
+      PipelineResult pipeline,
+      LookupOrCompile(
+          /*use_cache=*/true, prepared.body_sql,
+          [&]() -> Result<const AstBlob*> {
+            SM_ASSIGN_OR_RETURN(blob, ParseQuery(prepared.body_sql));
+            return blob.get();
+          },
+          prepared.num_params, options, &plan_cache_hit));
   SM_RETURN_IF_ERROR(BindParameters(pipeline.graph.get(), exec.args));
-  if (progress != nullptr) {
-    if (pipeline.graph->top() != nullptr) {
-      CardinalityEstimator est(pipeline.graph.get(), &catalog_);
-      progress->SetEstRows(est.Estimate(pipeline.graph->top()).rows);
-    }
-    progress->SetPhase(QueryPhase::kExecute);
-  }
-  Result<QueryResult> run = RunPipeline(
-      std::move(pipeline), options, /*collect_box_stats=*/false, progress,
-      governor_out);
+  Result<QueryResult> run =
+      RunPipeline(&pipeline, options, progress, governor_out);
   if (run.ok()) (*run).plan_cache_hit = plan_cache_hit;
   return run;
 }

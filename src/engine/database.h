@@ -1,8 +1,10 @@
 #ifndef STARMAGIC_ENGINE_DATABASE_H_
 #define STARMAGIC_ENGINE_DATABASE_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "catalog/catalog.h"
@@ -216,15 +218,35 @@ class Database {
   Result<PipelineResult> OptimizeBlob(const AstBlob& blob,
                                       const QueryOptions& options);
 
-  /// Executes an already-optimized pipeline result. *governor_out is
+  /// Executes an already-optimized pipeline result; the graph stays in
+  /// *pipeline, its rule fires move into the result. *governor_out is
   /// filled with the run's governor stats even when execution fails (the
   /// query log records peak bytes for aborted queries too). `progress`
-  /// (may be null) receives live execution updates.
-  Result<QueryResult> RunPipeline(PipelineResult pipeline,
+  /// (may be null) receives the estimated rows, the execute phase and live
+  /// execution updates. A non-null `analyze_warnings` makes the run an
+  /// EXPLAIN ANALYZE: per-box stats are collected, Q-errors recorded, and
+  /// stale-statistics warnings appended to it.
+  Result<QueryResult> RunPipeline(PipelineResult* pipeline,
                                   const QueryOptions& options,
-                                  bool collect_box_stats,
                                   ProgressTracker* progress,
-                                  GovernorStats* governor_out);
+                                  GovernorStats* governor_out,
+                                  std::string* analyze_warnings = nullptr);
+
+  /// Yields the AST to compile: called by LookupOrCompile only when it
+  /// must compile (EXECUTE parses its stored body lazily).
+  using AstSource = std::function<Result<const AstBlob*>()>;
+
+  /// The compiled pipeline for `key_sql`: a clone of the cached plan on a
+  /// hit; otherwise `ast` compiled, and cached with `num_params` bindings
+  /// (counted from the graph when absent). Without `use_cache` the plan
+  /// cache is neither read nor written. *hit reports a cache hit; the
+  /// plan_cache.* metrics are recorded here.
+  Result<PipelineResult> LookupOrCompile(bool use_cache,
+                                         const std::string& key_sql,
+                                         const AstSource& ast,
+                                         std::optional<int> num_params,
+                                         const QueryOptions& options,
+                                         bool* hit);
 
   /// EXPLAIN [ANALYZE]: builds the annotated-plan result. `sql` is the
   /// full statement text — the plan-cache key when use_plan_cache is set.

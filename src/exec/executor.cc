@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <optional>
 
 #include "common/string_util.h"
 #include "exec/aggregate.h"
@@ -75,11 +76,8 @@ Executor::~Executor() {
   }
 }
 
-Status Executor::ParallelAppend(
-    int64_t n,
-    const std::function<Status(int64_t begin, int64_t end, ComboVec* out,
-                               ExecStats* stats)>& body,
-    ComboVec* next, int64_t* charged_bytes) {
+Status Executor::ParallelAppend(int64_t n, const ComboBody& body,
+                                ComboVec* next, int64_t* charged_bytes) {
   const int64_t morsel_size = std::max<int64_t>(1, options_.morsel_size);
   const int64_t num_morsels = (n + morsel_size - 1) / morsel_size;
   std::vector<ComboVec> buffers(static_cast<size_t>(num_morsels));
@@ -403,8 +401,367 @@ Result<Table> Executor::DispatchBox(Box* box, const RowEnv& env) {
 }
 
 // ---------------------------------------------------------------------------
-// Select boxes: left-deep (hash) joins + E/A/Scalar quantifiers
+// Select boxes: left-deep joins, one named step per access path, then the
+// E/A/Scalar quantifiers and the projection
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// True when every predicate of `preds` holds under `env`; stops at the
+// first that does not. Counts one join probe per evaluated predicate into
+// *probes when it is non-null (the correlated nested loop's and the E/A
+// phase's accounting).
+Result<bool> AllTrue(const std::vector<const Expr*>& preds, const RowEnv& env,
+                     int64_t* probes) {
+  for (const Expr* p : preds) {
+    if (probes != nullptr) ++*probes;
+    SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*p, env));
+    if (v != TriBool::kTrue) return false;
+  }
+  return true;
+}
+
+bool IsRangeOp(BinaryOp op) {
+  return op == BinaryOp::kLt || op == BinaryOp::kLtEq || op == BinaryOp::kGt ||
+         op == BinaryOp::kGtEq;
+}
+
+}  // namespace
+
+/// The predicates that fire when quantifier `q` joins the combinations
+/// bound so far, split by the access paths that can use them, plus views of
+/// ComputeSelect's per-box state.
+struct Executor::JoinStep {
+  /// An equality `q.column = <expression over earlier quantifiers>`.
+  struct HashPred {
+    const Expr* orig;        ///< the full equality conjunct
+    const Expr* own_side;    ///< column of q
+    const Expr* other_side;  ///< expression over earlier quantifiers
+  };
+
+  Quantifier* q = nullptr;
+  std::vector<const Expr*> filters;   ///< every predicate firing here
+  std::vector<HashPred> hash_preds;   ///< hash-joinable equalities
+  std::vector<const Expr*> residual;  ///< filters not in hash_preds
+  /// The first residual range comparison of q's column against an
+  /// available value: the ordered-index candidate.
+  std::optional<ColumnComparison> range;
+
+  const ComboVec* current = nullptr;        ///< combinations joined so far
+  const std::vector<int>* bound = nullptr;  ///< quantifier of each slot
+  std::deque<Row>* arena = nullptr;  ///< stable copies of transient rows
+  int64_t* arena_bytes = nullptr;    ///< governor bytes held by *arena
+  const RowEnv* box_env = nullptr;   ///< outer bindings + hoisted scalars
+
+  /// Binds combination `ci` of *current into *env and returns it.
+  const std::vector<const Row*>& BindCombo(int64_t ci, RowEnv* env) const {
+    const std::vector<const Row*>& combo = (*current)[static_cast<size_t>(ci)];
+    for (size_t i = 0; i < bound->size(); ++i) {
+      env->Bind((*bound)[i], combo[i]);
+    }
+    return combo;
+  }
+};
+
+Status Executor::AppendOverCombos(int64_t n, const ComboBody& body,
+                                  ComboVec* next, int64_t* next_bytes) {
+  if (ShouldParallelize(n)) return ParallelAppend(n, body, next, next_bytes);
+  return body(0, n, next, &stats_);
+}
+
+Status Executor::EmitJoined(const std::vector<const Row*>& combo,
+                            const Row* row, ComboVec* out) const {
+  auto extended = combo;
+  extended.push_back(row);
+  out->push_back(std::move(extended));
+  if (static_cast<int64_t>(out->size()) > options_.max_rows_per_box) {
+    return Status::ExecutionError("row limit exceeded during join");
+  }
+  return Status::OK();
+}
+
+Status Executor::EvalScalarSubquery(const Quantifier* q, const RowEnv& env,
+                                    Row* row) {
+  Table scratch;
+  SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, env, &scratch));
+  stats_.rows_scanned += t->num_rows();
+  if (t->num_rows() > 1) {
+    return Status::ExecutionError(StrCat(
+        "scalar subquery '", q->input->label(), "' returned more than one row"));
+  }
+  *row = t->num_rows() == 1
+             ? t->rows()[0]
+             : Row(static_cast<size_t>(q->input->NumOutputs()), Value::Null());
+  return Status::OK();
+}
+
+Result<bool> Executor::IndexEqStep(const JoinStep& step, const Table& table,
+                                   ComboVec* next, int64_t* next_bytes) {
+  std::vector<int> bound_cols;
+  for (const JoinStep::HashPred& hp : step.hash_preds) {
+    bound_cols.push_back(hp.own_side->column_index);
+  }
+  std::optional<IndexMatch> match =
+      catalog_->FindEqualityIndex(step.q->input->table_name(), bound_cols);
+  if (!match.has_value()) return false;
+  // Pair each index key column with the expression driving it; equality
+  // conjuncts the index does not cover stay residual.
+  std::vector<const Expr*> key_exprs;
+  std::vector<bool> used(step.hash_preds.size(), false);
+  for (int col : match->key_columns) {
+    for (size_t i = 0; i < step.hash_preds.size(); ++i) {
+      if (!used[i] && step.hash_preds[i].own_side->column_index == col) {
+        used[i] = true;
+        key_exprs.push_back(step.hash_preds[i].other_side);
+        break;
+      }
+    }
+  }
+  std::vector<const Expr*> preds = step.residual;
+  for (size_t i = 0; i < step.hash_preds.size(); ++i) {
+    if (!used[i]) preds.push_back(step.hash_preds[i].orig);
+  }
+  SM_RETURN_IF_ERROR(IndexProbeStep(
+      step, table, preds,
+      [&](const RowEnv& env, std::vector<int>* ids) -> Status {
+        Row key;
+        key.reserve(key_exprs.size());
+        for (const Expr* e : key_exprs) {
+          SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*e, env));
+          key.push_back(std::move(v));
+        }
+        match->index->ProbeEqual(key, ids);
+        return Status::OK();
+      },
+      next, next_bytes));
+  return true;
+}
+
+Result<bool> Executor::IndexRangeStep(const JoinStep& step, const Table& table,
+                                      ComboVec* next, int64_t* next_bytes) {
+  if (!step.range.has_value()) return false;
+  const ColumnComparison& cc = *step.range;
+  const SecondaryIndex* ordered = catalog_->FindOrderedIndexOn(
+      step.q->input->table_name(), cc.column->column_index);
+  if (ordered == nullptr) return false;
+  // Condition-magic shapes (a c-adorned restriction like t.c < <bound>).
+  // The probed conjunct stays in the residuals and is re-checked, so the
+  // index only narrows the scan.
+  const bool inclusive =
+      cc.op == BinaryOp::kLtEq || cc.op == BinaryOp::kGtEq;
+  const bool upper = cc.op == BinaryOp::kLt || cc.op == BinaryOp::kLtEq;
+  SM_RETURN_IF_ERROR(IndexProbeStep(
+      step, table, step.residual,
+      [&](const RowEnv& env, std::vector<int>* ids) -> Status {
+        SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*cc.other, env));
+        ordered->ProbeRange(upper ? nullptr : &v, inclusive,
+                            upper ? &v : nullptr, inclusive, ids);
+        return Status::OK();
+      },
+      next, next_bytes));
+  return true;
+}
+
+Status Executor::IndexProbeStep(const JoinStep& step, const Table& table,
+                                const std::vector<const Expr*>& preds,
+                                const IndexProbe& probe, ComboVec* next,
+                                int64_t* next_bytes) {
+  return AppendOverCombos(
+      static_cast<int64_t>(step.current->size()),
+      [&](int64_t begin, int64_t end, ComboVec* out,
+          ExecStats* stats) -> Status {
+        RowEnv inner(step.box_env);
+        std::vector<int> ids;
+        for (int64_t ci = begin; ci < end; ++ci) {
+          const std::vector<const Row*>& combo = step.BindCombo(ci, &inner);
+          ids.clear();
+          SM_RETURN_IF_ERROR(probe(inner, &ids));
+          ++stats->index_probes;
+          for (int ri : ids) {
+            const Row* row = &table.rows()[static_cast<size_t>(ri)];
+            ++stats->index_rows_fetched;
+            inner.Bind(step.q->id, row);
+            SM_ASSIGN_OR_RETURN(bool keep, AllTrue(preds, inner, nullptr));
+            if (keep) SM_RETURN_IF_ERROR(EmitJoined(combo, row, out));
+          }
+          inner.Unbind(step.q->id);
+        }
+        return Status::OK();
+      },
+      next, next_bytes);
+}
+
+Result<std::vector<const Row*>> Executor::StepInput(const JoinStep& step) {
+  Table scratch;
+  SM_ASSIGN_OR_RETURN(const Table* t,
+                      EvalBox(step.q->input, *step.box_env, &scratch));
+  std::vector<const Row*> rows;
+  rows.reserve(static_cast<size_t>(t->num_rows()));
+  if (t == &scratch) {
+    // Non-memoized storage would not outlive this step; move the rows into
+    // the arena for stable pointers.
+    if (options_.governor != nullptr) {
+      int64_t sb = TableBytes(scratch);
+      *step.arena_bytes += sb;
+      SM_RETURN_IF_ERROR(options_.governor->Reserve(sb));
+    }
+    for (Row& row : scratch.mutable_rows()) {
+      step.arena->push_back(std::move(row));
+      rows.push_back(&step.arena->back());
+    }
+  } else {
+    for (const Row& row : t->rows()) rows.push_back(&row);
+  }
+  stats_.rows_scanned += static_cast<int64_t>(rows.size());
+  return rows;
+}
+
+Status Executor::HashStep(const JoinStep& step,
+                          const std::vector<const Row*>& input,
+                          ComboVec* next, int64_t* next_bytes,
+                          int64_t* build_bytes) {
+  JoinHashTable table;
+  table.Reserve(input.size());
+  // The build side is charged in morsel-sized chunks so an over-budget
+  // build aborts mid-build, not after materializing the whole table. The
+  // build runs on the coordinator in input order, so the abort point — and
+  // the resulting Status — is identical at any thread count.
+  ResourceGovernor* const gov = options_.governor;
+  const int64_t check_stride = std::max<int64_t>(1, options_.morsel_size);
+  int64_t build_chunk = 0;
+  int64_t build_until_check = check_stride;
+  for (size_t ri = 0; ri < input.size(); ++ri) {
+    Row key;
+    key.reserve(step.hash_preds.size());
+    for (const JoinStep::HashPred& hp : step.hash_preds) {
+      key.push_back((*input[ri])[static_cast<size_t>(hp.own_side->column_index)]);
+    }
+    if (gov != nullptr) {
+      build_chunk += RowBytes(key) + static_cast<int64_t>(sizeof(int));
+      if (--build_until_check == 0) {
+        build_until_check = check_stride;
+        *build_bytes += build_chunk;
+        SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
+        build_chunk = 0;
+      }
+    }
+    table.Insert(std::move(key), static_cast<int>(ri));
+  }
+  if (gov != nullptr && build_chunk > 0) {
+    *build_bytes += build_chunk;
+    SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
+  }
+  // Probe per combination. The build table is shared read-only, so the
+  // parallel split needs no synchronization.
+  return AppendOverCombos(
+      static_cast<int64_t>(step.current->size()),
+      [&](int64_t begin, int64_t end, ComboVec* out,
+          ExecStats* stats) -> Status {
+        RowEnv inner(step.box_env);
+        Row key;
+        for (int64_t ci = begin; ci < end; ++ci) {
+          const std::vector<const Row*>& combo = step.BindCombo(ci, &inner);
+          key.clear();
+          for (const JoinStep::HashPred& hp : step.hash_preds) {
+            SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*hp.other_side, inner));
+            key.push_back(std::move(v));
+          }
+          ++stats->join_probes;
+          const std::vector<int>* matches = table.Probe(key);
+          if (matches == nullptr) continue;
+          for (int ri : *matches) {
+            const Row* row = input[static_cast<size_t>(ri)];
+            ++stats->rows_scanned;
+            inner.Bind(step.q->id, row);
+            SM_ASSIGN_OR_RETURN(bool keep,
+                                AllTrue(step.residual, inner, nullptr));
+            if (keep) SM_RETURN_IF_ERROR(EmitJoined(combo, row, out));
+          }
+          inner.Unbind(step.q->id);
+        }
+        return Status::OK();
+      },
+      next, next_bytes);
+}
+
+Status Executor::ScanStep(const JoinStep& step,
+                          const std::vector<const Row*>& input,
+                          ComboVec* next, int64_t* next_bytes) {
+  // Joins input rows [rb, re) to `combo`, one join probe per row.
+  auto scan_rows = [&](const std::vector<const Row*>& combo, RowEnv* inner,
+                       int64_t rb, int64_t re, ComboVec* out,
+                       ExecStats* stats) -> Status {
+    for (int64_t r = rb; r < re; ++r) {
+      const Row* row = input[static_cast<size_t>(r)];
+      inner->Bind(step.q->id, row);
+      ++stats->join_probes;
+      SM_ASSIGN_OR_RETURN(bool keep, AllTrue(step.filters, *inner, nullptr));
+      if (keep) SM_RETURN_IF_ERROR(EmitJoined(combo, row, out));
+    }
+    inner->Unbind(step.q->id);
+    return Status::OK();
+  };
+  const int64_t num_combos = static_cast<int64_t>(step.current->size());
+  const int64_t num_input = static_cast<int64_t>(input.size());
+  if (ShouldParallelize(num_input) && num_input > num_combos) {
+    // Partitioned scan: split the input rows (the common shape — a
+    // base-table or box scan with predicate evaluation has a single empty
+    // combination), one barrier per combination.
+    for (int64_t ci = 0; ci < num_combos; ++ci) {
+      SM_RETURN_IF_ERROR(ParallelAppend(
+          num_input,
+          [&](int64_t rb, int64_t re, ComboVec* out,
+              ExecStats* stats) -> Status {
+            RowEnv inner(step.box_env);
+            return scan_rows(step.BindCombo(ci, &inner), &inner, rb, re, out,
+                             stats);
+          },
+          next, next_bytes));
+    }
+    return Status::OK();
+  }
+  return AppendOverCombos(
+      num_combos,
+      [&](int64_t begin, int64_t end, ComboVec* out,
+          ExecStats* stats) -> Status {
+        RowEnv inner(step.box_env);
+        for (int64_t ci = begin; ci < end; ++ci) {
+          SM_RETURN_IF_ERROR(scan_rows(step.BindCombo(ci, &inner), &inner, 0,
+                                       num_input, out, stats));
+        }
+        return Status::OK();
+      },
+      next, next_bytes);
+}
+
+Status Executor::CorrelatedStep(const JoinStep& step, ComboVec* next) {
+  ResourceGovernor* const gov = options_.governor;
+  Table scratch;
+  for (int64_t ci = 0; ci < static_cast<int64_t>(step.current->size());
+       ++ci) {
+    RowEnv inner(step.box_env);
+    const std::vector<const Row*>& combo = step.BindCombo(ci, &inner);
+    SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(step.q->input, inner, &scratch));
+    stats_.rows_scanned += t->num_rows();
+    for (const Row& row : t->rows()) {
+      inner.Bind(step.q->id, &row);
+      SM_ASSIGN_OR_RETURN(bool keep,
+                          AllTrue(step.filters, inner, &stats_.join_probes));
+      if (!keep) continue;
+      step.arena->push_back(row);
+      if (gov != nullptr) {
+        // Charge the copied row only; the combination pointing at it is
+        // charged with the rest of `next` at the end of the step.
+        int64_t rb = RowBytes(step.arena->back());
+        *step.arena_bytes += rb;
+        SM_RETURN_IF_ERROR(gov->Reserve(rb));
+      }
+      SM_RETURN_IF_ERROR(EmitJoined(combo, &step.arena->back(), next));
+    }
+    inner.Unbind(step.q->id);
+  }
+  return Status::OK();
+}
 
 Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
   std::vector<Quantifier*> forder = OrderedForEachQuantifiers(box);
@@ -448,7 +805,7 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
   // source row of each bound ForEach quantifier. Rows from per-binding
   // (non-cached) evaluations are copied into `arena` for stable pointers.
   std::deque<Row> arena;
-  std::vector<std::vector<const Row*>> current;
+  ComboVec current;
   current.emplace_back();
   std::vector<int> bound;  // quantifier ids, parallel to entries' positions
 
@@ -483,19 +840,8 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       per_row_scalars.push_back(q);
       continue;
     }
-    Table hoist_scratch;
-    SM_ASSIGN_OR_RETURN(const Table* t,
-                        EvalBox(q->input, box_env, &hoist_scratch));
-    stats_.rows_scanned += t->num_rows();
-    if (t->num_rows() > 1) {
-      return Status::ExecutionError(
-          StrCat("scalar subquery '", q->input->label(),
-                 "' returned more than one row"));
-    }
-    hoisted_rows.push_back(
-        t->num_rows() == 1
-            ? t->rows()[0]
-            : Row(static_cast<size_t>(q->input->NumOutputs()), Value::Null()));
+    hoisted_rows.emplace_back();
+    SM_RETURN_IF_ERROR(EvalScalarSubquery(q, box_env, &hoisted_rows.back()));
     box_env.Bind(q->id, &hoisted_rows.back());
     seen.insert(q->id);
   }
@@ -531,525 +877,83 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
     }
 
     seen.insert(q->id);
-    std::vector<const Expr*> filters;
-    ready_unapplied(&filters);
+    JoinStep step;
+    step.q = q;
+    step.current = &current;
+    step.bound = &bound;
+    step.arena = &arena;
+    step.arena_bytes = &arena_bytes;
+    step.box_env = &box_env;
+    ready_unapplied(&step.filters);
 
-    // Split the filters into hash-joinable equalities and residuals.
-    struct HashPred {
-      const Expr* orig;        ///< the full equality conjunct
-      const Expr* own_side;    ///< column of q
-      const Expr* other_side;  ///< expression over earlier quantifiers
-    };
-    std::vector<HashPred> hash_preds;
-    std::vector<const Expr*> residual;
-    for (const Expr* f : filters) {
+    // Split the filters: comparisons of q's column against a value the
+    // combinations already provide are hash-joinable when equalities, and
+    // the first such range comparison is the ordered-index candidate.
+    for (const Expr* f : step.filters) {
       ColumnComparison cc;
-      bool hashable = false;
-      if (MatchColumnComparisonFor(*f, q->id, &cc) && cc.op == BinaryOp::kEq) {
-        hashable = true;
+      bool available = MatchColumnComparisonFor(*f, q->id, &cc);
+      if (available) {
         for (int rid : cc.other->ReferencedQuantifiers()) {
-          if (rid == q->id ||
-              (own_qids.count(rid) && rid != q->id && !seen.count(rid))) {
-            hashable = false;
+          if (rid == q->id || (own_qids.count(rid) && !seen.count(rid))) {
+            available = false;
             break;
           }
         }
-        if (hashable) hash_preds.push_back(HashPred{f, cc.column, cc.other});
       }
-      if (!hashable) residual.push_back(f);
+      if (available && cc.op == BinaryOp::kEq) {
+        step.hash_preds.push_back(JoinStep::HashPred{f, cc.column, cc.other});
+        continue;
+      }
+      step.residual.push_back(f);
+      if (available && IsRangeOp(cc.op) && !step.range.has_value()) {
+        step.range = cc;
+      }
     }
 
-    // Probe-one-combo helper shared by the hash paths. Pure over shared
-    // state except for *stats/*next, which the parallel path points at
-    // per-worker/per-morsel storage — so the same body serves the
-    // sequential loop and the morsel-partitioned one.
-    auto probe_matches =
-        [&](const std::vector<const Row*>& combo, RowEnv* inner,
-            const JoinHashTable& table,
-            const std::function<const Row*(int)>& row_at,
-            std::vector<std::vector<const Row*>>* next,
-            ExecStats* stats) -> Status {
-      Row key;
-      key.reserve(hash_preds.size());
-      for (const HashPred& hp : hash_preds) {
-        SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*hp.other_side, *inner));
-        key.push_back(std::move(v));
-      }
-      ++stats->join_probes;
-      const std::vector<int>* matches = table.Probe(key);
-      if (matches == nullptr) return Status::OK();
-      for (int ri : *matches) {
-        const Row* row = row_at(ri);
-        ++stats->rows_scanned;
-        inner->Bind(q->id, row);
-        bool keep = true;
-        for (const Expr* f : residual) {
-          SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, *inner));
-          if (v != TriBool::kTrue) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) {
-          auto combo2 = combo;
-          combo2.push_back(row);
-          next->push_back(std::move(combo2));
-          if (static_cast<int64_t>(next->size()) > options_.max_rows_per_box) {
-            return Status::ExecutionError("row limit exceeded during join");
-          }
-        }
-      }
-      inner->Unbind(q->id);
-      return Status::OK();
-    };
-
-    std::vector<std::vector<const Row*>> next;
-    int64_t next_bytes = 0;  // bytes charged for `next` (parallel paths)
+    ComboVec next;
+    int64_t next_bytes = 0;        // bytes charged for `next` (parallel paths)
     int64_t step_build_bytes = 0;  // hash build table, released at step end
-    bool step_done = false;
 
-    // Index-nested-loop: when the input is a stored table with a usable
-    // secondary index and the bound side is no larger than the table,
-    // probe the index per combination instead of materializing and
-    // hashing the whole table. This is what makes magic and
-    // supplementary-magic quantifiers cheap: the (small) magic box drives
-    // point lookups into the base data.
+    // Index-nested-loop (docs/indexes.md): when the input is a stored
+    // table with a usable secondary index and the bound side is no larger
+    // than the table, probe the index per combination instead of
+    // materializing and hashing the whole table. This is what makes magic
+    // and supplementary-magic quantifiers cheap: the (small) magic box
+    // drives point lookups into the base data.
+    bool indexed = false;
     if (!correlated_here && options_.use_secondary_indexes &&
         q->input->kind() == BoxKind::kBaseTable) {
       const Table* table = catalog_->GetTable(q->input->table_name());
       if (table != nullptr &&
           static_cast<int64_t>(current.size()) <= table->num_rows()) {
-        if (!hash_preds.empty()) {
-          // Equality probe (hash or ordered-prefix index).
-          std::vector<int> bound_cols;
-          for (const HashPred& hp : hash_preds) {
-            bound_cols.push_back(hp.own_side->column_index);
-          }
-          std::optional<IndexMatch> match =
-              catalog_->FindEqualityIndex(q->input->table_name(), bound_cols);
-          if (match.has_value()) {
-            // Pair each index key column with the expression driving it;
-            // equality conjuncts the index does not cover stay residual.
-            std::vector<const Expr*> key_exprs;
-            std::vector<bool> used(hash_preds.size(), false);
-            for (int col : match->key_columns) {
-              for (size_t i = 0; i < hash_preds.size(); ++i) {
-                if (!used[i] &&
-                    hash_preds[i].own_side->column_index == col) {
-                  used[i] = true;
-                  key_exprs.push_back(hash_preds[i].other_side);
-                  break;
-                }
-              }
-            }
-            std::vector<const Expr*> index_residual = residual;
-            for (size_t i = 0; i < hash_preds.size(); ++i) {
-              if (!used[i]) index_residual.push_back(hash_preds[i].orig);
-            }
-            auto probe_index_eq = [&](const std::vector<const Row*>& combo,
-                                      RowEnv* inner, std::vector<int>* ids,
-                                      ComboVec* out,
-                                      ExecStats* stats) -> Status {
-              Row key;
-              key.reserve(key_exprs.size());
-              for (const Expr* e : key_exprs) {
-                SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*e, *inner));
-                key.push_back(std::move(v));
-              }
-              ++stats->index_probes;
-              ids->clear();
-              match->index->ProbeEqual(key, ids);
-              for (int ri : *ids) {
-                const Row* row = &table->rows()[static_cast<size_t>(ri)];
-                ++stats->index_rows_fetched;
-                inner->Bind(q->id, row);
-                bool keep = true;
-                for (const Expr* f : index_residual) {
-                  SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, *inner));
-                  if (v != TriBool::kTrue) {
-                    keep = false;
-                    break;
-                  }
-                }
-                if (keep) {
-                  auto combo2 = combo;
-                  combo2.push_back(row);
-                  out->push_back(std::move(combo2));
-                  if (static_cast<int64_t>(out->size()) >
-                      options_.max_rows_per_box) {
-                    return Status::ExecutionError(
-                        "row limit exceeded during join");
-                  }
-                }
-              }
-              inner->Unbind(q->id);
-              return Status::OK();
-            };
-            if (ShouldParallelize(static_cast<int64_t>(current.size()))) {
-              SM_RETURN_IF_ERROR(ParallelAppend(
-                  static_cast<int64_t>(current.size()),
-                  [&](int64_t cb, int64_t ce, ComboVec* out,
-                      ExecStats* stats) -> Status {
-                    RowEnv inner(&box_env);
-                    std::vector<int> ids;
-                    for (int64_t ci = cb; ci < ce; ++ci) {
-                      const auto& combo = current[static_cast<size_t>(ci)];
-                      for (size_t i = 0; i < bound.size(); ++i) {
-                        inner.Bind(bound[i], combo[i]);
-                      }
-                      SM_RETURN_IF_ERROR(
-                          probe_index_eq(combo, &inner, &ids, out, stats));
-                    }
-                    return Status::OK();
-                  },
-                  &next, &next_bytes));
-            } else {
-              std::vector<int> ids;
-              for (const auto& combo : current) {
-                RowEnv inner(&box_env);
-                for (size_t i = 0; i < bound.size(); ++i) {
-                  inner.Bind(bound[i], combo[i]);
-                }
-                SM_RETURN_IF_ERROR(
-                    probe_index_eq(combo, &inner, &ids, &next, &stats_));
-              }
-            }
-            step_done = true;
-          }
-        } else {
-          // Range probe through an ordered index (condition-magic shapes:
-          // a c-adorned restriction like t.c < <bound>). The probed
-          // conjunct is re-checked with the other residuals, so the index
-          // only narrows the scan.
-          const Expr* range_pred = nullptr;
-          ColumnComparison range_cc;
-          for (const Expr* f : residual) {
-            ColumnComparison cc;
-            if (!MatchColumnComparisonFor(*f, q->id, &cc)) continue;
-            if (cc.op != BinaryOp::kLt && cc.op != BinaryOp::kLtEq &&
-                cc.op != BinaryOp::kGt && cc.op != BinaryOp::kGtEq) {
-              continue;
-            }
-            bool available = true;
-            for (int rid : cc.other->ReferencedQuantifiers()) {
-              if (rid == q->id ||
-                  (own_qids.count(rid) && !seen.count(rid))) {
-                available = false;
-                break;
-              }
-            }
-            if (available) {
-              range_pred = f;
-              range_cc = cc;
-              break;
-            }
-          }
-          const SecondaryIndex* ordered =
-              range_pred == nullptr
-                  ? nullptr
-                  : catalog_->FindOrderedIndexOn(
-                        q->input->table_name(),
-                        range_cc.column->column_index);
-          if (ordered != nullptr) {
-            auto probe_index_range = [&](const std::vector<const Row*>& combo,
-                                         RowEnv* inner, std::vector<int>* ids,
-                                         ComboVec* out,
-                                         ExecStats* stats) -> Status {
-              SM_ASSIGN_OR_RETURN(Value v,
-                                  EvalScalar(*range_cc.other, *inner));
-              const Value* lo = nullptr;
-              const Value* hi = nullptr;
-              bool inclusive = range_cc.op == BinaryOp::kLtEq ||
-                               range_cc.op == BinaryOp::kGtEq;
-              if (range_cc.op == BinaryOp::kLt ||
-                  range_cc.op == BinaryOp::kLtEq) {
-                hi = &v;
-              } else {
-                lo = &v;
-              }
-              ++stats->index_probes;
-              ids->clear();
-              ordered->ProbeRange(lo, inclusive, hi, inclusive, ids);
-              for (int ri : *ids) {
-                const Row* row = &table->rows()[static_cast<size_t>(ri)];
-                ++stats->index_rows_fetched;
-                inner->Bind(q->id, row);
-                bool keep = true;
-                for (const Expr* f : residual) {
-                  SM_ASSIGN_OR_RETURN(TriBool tv, EvalPredicate(*f, *inner));
-                  if (tv != TriBool::kTrue) {
-                    keep = false;
-                    break;
-                  }
-                }
-                if (keep) {
-                  auto combo2 = combo;
-                  combo2.push_back(row);
-                  out->push_back(std::move(combo2));
-                  if (static_cast<int64_t>(out->size()) >
-                      options_.max_rows_per_box) {
-                    return Status::ExecutionError(
-                        "row limit exceeded during join");
-                  }
-                }
-              }
-              inner->Unbind(q->id);
-              return Status::OK();
-            };
-            if (ShouldParallelize(static_cast<int64_t>(current.size()))) {
-              SM_RETURN_IF_ERROR(ParallelAppend(
-                  static_cast<int64_t>(current.size()),
-                  [&](int64_t cb, int64_t ce, ComboVec* out,
-                      ExecStats* stats) -> Status {
-                    RowEnv inner(&box_env);
-                    std::vector<int> ids;
-                    for (int64_t ci = cb; ci < ce; ++ci) {
-                      const auto& combo = current[static_cast<size_t>(ci)];
-                      for (size_t i = 0; i < bound.size(); ++i) {
-                        inner.Bind(bound[i], combo[i]);
-                      }
-                      SM_RETURN_IF_ERROR(
-                          probe_index_range(combo, &inner, &ids, out, stats));
-                    }
-                    return Status::OK();
-                  },
-                  &next, &next_bytes));
-            } else {
-              std::vector<int> ids;
-              for (const auto& combo : current) {
-                RowEnv inner(&box_env);
-                for (size_t i = 0; i < bound.size(); ++i) {
-                  inner.Bind(bound[i], combo[i]);
-                }
-                SM_RETURN_IF_ERROR(
-                    probe_index_range(combo, &inner, &ids, &next, &stats_));
-              }
-            }
-            step_done = true;
-          }
-        }
+        SM_ASSIGN_OR_RETURN(
+            indexed, step.hash_preds.empty()
+                         ? IndexRangeStep(step, *table, &next, &next_bytes)
+                         : IndexEqStep(step, *table, &next, &next_bytes));
       }
     }
-
-    if (step_done) {
-      // handled above via a secondary index
+    if (indexed) {
+      // joined above through a secondary index
     } else if (correlated_here) {
-      // Nested-loop: evaluate the input once per current combination.
-      Table scratch;
-      for (const auto& combo : current) {
-        RowEnv inner(&box_env);
-        for (size_t i = 0; i < bound.size(); ++i) {
-          inner.Bind(bound[i], combo[i]);
-        }
-        SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, inner, &scratch));
-        stats_.rows_scanned += t->num_rows();
-        for (const Row& row : t->rows()) {
-          inner.Bind(q->id, &row);
-          bool keep = true;
-          for (const Expr* f : filters) {
-            ++stats_.join_probes;
-            SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, inner));
-            if (v != TriBool::kTrue) {
-              keep = false;
-              break;
-            }
-          }
-          if (!keep) continue;
-          arena.push_back(row);
-          if (gov != nullptr) {
-            // Charge the copied row only; the combination pointing at it
-            // is charged with the rest of `next` at the end of the step.
-            int64_t rb = RowBytes(arena.back());
-            arena_bytes += rb;
-            SM_RETURN_IF_ERROR(gov->Reserve(rb));
-          }
-          auto combo2 = combo;
-          combo2.push_back(&arena.back());
-          next.push_back(std::move(combo2));
-          if (static_cast<int64_t>(next.size()) > options_.max_rows_per_box) {
-            return Status::ExecutionError("row limit exceeded during join");
-          }
-        }
-        inner.Unbind(q->id);
-      }
+      SM_RETURN_IF_ERROR(CorrelatedStep(step, &next));
     } else {
-      Table scratch;
-      SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, box_env, &scratch));
-      std::vector<const Row*> input_rows;
-      if (t == &scratch) {
-        // Non-memoized storage would not outlive this step; copy the rows
-        // into the arena for stable pointers.
-        for (const Row& row : scratch.rows()) arena.push_back(row);
-        auto it = arena.end() - scratch.num_rows();
-        for (; it != arena.end(); ++it) input_rows.push_back(&*it);
-        if (gov != nullptr) {
-          int64_t sb = TableBytes(scratch);
-          arena_bytes += sb;
-          SM_RETURN_IF_ERROR(gov->Reserve(sb));
-        }
+      SM_ASSIGN_OR_RETURN(std::vector<const Row*> input, StepInput(step));
+      if (step.hash_preds.empty()) {
+        SM_RETURN_IF_ERROR(ScanStep(step, input, &next, &next_bytes));
       } else {
-        input_rows.reserve(static_cast<size_t>(t->num_rows()));
-        for (const Row& row : t->rows()) input_rows.push_back(&row);
-      }
-      stats_.rows_scanned += static_cast<int64_t>(input_rows.size());
-
-      if (!hash_preds.empty()) {
-        JoinHashTable table;
-        table.Reserve(input_rows.size());
-        // The build side is charged in morsel-sized chunks so an
-        // over-budget build aborts mid-build, not after materializing the
-        // whole table. The build runs on the coordinator in input order,
-        // so the abort point — and the resulting Status — is identical at
-        // any thread count.
-        int64_t build_bytes = 0;
-        int64_t build_chunk = 0;
-        int64_t build_until_check = check_stride;
-        for (size_t ri = 0; ri < input_rows.size(); ++ri) {
-          Row key;
-          key.reserve(hash_preds.size());
-          for (const HashPred& hp : hash_preds) {
-            key.push_back(
-                (*input_rows[ri])[static_cast<size_t>(hp.own_side->column_index)]);
-          }
-          if (gov != nullptr) {
-            build_chunk += RowBytes(key) + static_cast<int64_t>(sizeof(int));
-            if (--build_until_check == 0) {
-              build_until_check = check_stride;
-              build_bytes += build_chunk;
-              SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
-              build_chunk = 0;
-            }
-          }
-          table.Insert(std::move(key), static_cast<int>(ri));
-        }
-        if (gov != nullptr && build_chunk > 0) {
-          build_bytes += build_chunk;
-          SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
-        }
-        auto row_at = [&input_rows](int ri) {
-          return input_rows[static_cast<size_t>(ri)];
-        };
-        if (ShouldParallelize(static_cast<int64_t>(current.size()))) {
-          // Partitioned probe: the build table is shared read-only; each
-          // worker probes its combos into a per-morsel buffer which
-          // ParallelAppend concatenates in morsel (= sequential) order.
-          SM_RETURN_IF_ERROR(ParallelAppend(
-              static_cast<int64_t>(current.size()),
-              [&](int64_t cb, int64_t ce, ComboVec* out,
-                  ExecStats* stats) -> Status {
-                RowEnv inner(&box_env);
-                for (int64_t ci = cb; ci < ce; ++ci) {
-                  const auto& combo = current[static_cast<size_t>(ci)];
-                  for (size_t i = 0; i < bound.size(); ++i) {
-                    inner.Bind(bound[i], combo[i]);
-                  }
-                  SM_RETURN_IF_ERROR(probe_matches(combo, &inner, table,
-                                                   row_at, out, stats));
-                }
-                return Status::OK();
-              },
-              &next, &next_bytes));
-        } else {
-          for (const auto& combo : current) {
-            RowEnv inner(&box_env);
-            for (size_t i = 0; i < bound.size(); ++i) {
-              inner.Bind(bound[i], combo[i]);
-            }
-            SM_RETURN_IF_ERROR(
-                probe_matches(combo, &inner, table, row_at, &next, &stats_));
-          }
-        }
-        // The build table dies with this step, but its bytes are held
-        // until the end-of-step coordinator point below: parallel probes
-        // charge output combos while the build table is live, so the
-        // sequential path must keep it charged until `next` is charged
-        // too, or peak bytes would differ by thread count.
-        step_build_bytes = build_bytes;
-      } else {
-        // Nested loop with all filters (filter-only steps and joins with
-        // no usable equality).
-        auto scan_rows = [&](const std::vector<const Row*>& combo,
-                             RowEnv* inner, int64_t rb, int64_t re,
-                             ComboVec* out, ExecStats* stats) -> Status {
-          for (int64_t r = rb; r < re; ++r) {
-            const Row* row = input_rows[static_cast<size_t>(r)];
-            inner->Bind(q->id, row);
-            ++stats->join_probes;
-            bool keep = true;
-            for (const Expr* f : filters) {
-              SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, *inner));
-              if (v != TriBool::kTrue) {
-                keep = false;
-                break;
-              }
-            }
-            if (keep) {
-              auto combo2 = combo;
-              combo2.push_back(row);
-              out->push_back(std::move(combo2));
-              if (static_cast<int64_t>(out->size()) >
-                  options_.max_rows_per_box) {
-                return Status::ExecutionError("row limit exceeded during join");
-              }
-            }
-          }
-          inner->Unbind(q->id);
-          return Status::OK();
-        };
-        const int64_t num_combos = static_cast<int64_t>(current.size());
-        const int64_t num_input = static_cast<int64_t>(input_rows.size());
-        if (ShouldParallelize(num_combos) && num_combos >= num_input) {
-          // Split over the (larger) outer combination set.
-          SM_RETURN_IF_ERROR(ParallelAppend(
-              num_combos,
-              [&](int64_t cb, int64_t ce, ComboVec* out,
-                  ExecStats* stats) -> Status {
-                RowEnv inner(&box_env);
-                for (int64_t ci = cb; ci < ce; ++ci) {
-                  const auto& combo = current[static_cast<size_t>(ci)];
-                  for (size_t i = 0; i < bound.size(); ++i) {
-                    inner.Bind(bound[i], combo[i]);
-                  }
-                  SM_RETURN_IF_ERROR(
-                      scan_rows(combo, &inner, 0, num_input, out, stats));
-                }
-                return Status::OK();
-              },
-              &next, &next_bytes));
-        } else if (ShouldParallelize(num_input)) {
-          // Partitioned scan: split the input rows (the common shape — a
-          // base-table or box scan with predicate evaluation has a single
-          // empty combo), one barrier per combo.
-          for (const auto& combo : current) {
-            SM_RETURN_IF_ERROR(ParallelAppend(
-                num_input,
-                [&](int64_t rb, int64_t re, ComboVec* out,
-                    ExecStats* stats) -> Status {
-                  RowEnv inner(&box_env);
-                  for (size_t i = 0; i < bound.size(); ++i) {
-                    inner.Bind(bound[i], combo[i]);
-                  }
-                  return scan_rows(combo, &inner, rb, re, out, stats);
-                },
-                &next, &next_bytes));
-          }
-        } else {
-          for (const auto& combo : current) {
-            RowEnv inner(&box_env);
-            for (size_t i = 0; i < bound.size(); ++i) {
-              inner.Bind(bound[i], combo[i]);
-            }
-            SM_RETURN_IF_ERROR(scan_rows(combo, &inner, 0, num_input, &next,
-                                         &stats_));
-          }
-        }
+        SM_RETURN_IF_ERROR(
+            HashStep(step, input, &next, &next_bytes, &step_build_bytes));
       }
     }
     if (gov != nullptr) {
       // Sequential paths charge their step output here in one lump; the
       // parallel paths already charged the identical combos morsel by
       // morsel (next_bytes > 0 exactly when some buffer was non-empty),
-      // so used-bytes at every step boundary is the same either way.
+      // so used-bytes at every step boundary is the same either way. A
+      // hash build table dies with its step, but its bytes are released
+      // only here, after `next` is charged: parallel probes charge output
+      // while the build table is live, so releasing it earlier on the
+      // sequential path would make peak bytes differ by thread count.
       if (next_bytes == 0) {
         for (const auto& combo : next) next_bytes += ComboBytes(combo);
         SM_RETURN_IF_ERROR(gov->Reserve(next_bytes));
@@ -1066,7 +970,18 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
   }
 
   // Per-combination phase: scalar subqueries, E/A quantifiers, residual
-  // predicates, projection.
+  // predicates, projection. The predicate lists are fixed by now.
+  std::vector<std::vector<const Expr*>> ea_preds(ea_qs.size());
+  std::vector<const Expr*> final_preds;  // e.g. involving scalar results
+  for (const PredState& st : preds) {
+    if (!st.ea_phase) {
+      if (!st.applied) final_preds.push_back(st.expr);
+      continue;
+    }
+    for (size_t ei = 0; ei < ea_qs.size(); ++ei) {
+      if (st.expr->References(ea_qs[ei]->id)) ea_preds[ei].push_back(st.expr);
+    }
+  }
   Table out(box->label(), Schema{});
   std::vector<Row> produced;
   int64_t until_check = check_stride;
@@ -1087,95 +1002,40 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
 
     // Remaining (correlated) scalar quantifiers, declaration order.
     std::vector<Row> scalar_rows(per_row_scalars.size());
-    bool row_ok = true;
     for (size_t si = 0; si < per_row_scalars.size(); ++si) {
-      Quantifier* q = per_row_scalars[si];
-      Table scratch;
-      SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, rowenv, &scratch));
-      stats_.rows_scanned += t->num_rows();
-      if (t->num_rows() > 1) {
-        return Status::ExecutionError(
-            StrCat("scalar subquery '", q->input->label(),
-                   "' returned more than one row"));
-      }
-      scalar_rows[si] =
-          t->num_rows() == 1
-              ? t->rows()[0]
-              : Row(static_cast<size_t>(q->input->NumOutputs()), Value::Null());
-      rowenv.Bind(q->id, &scalar_rows[si]);
-      seen.insert(q->id);
+      SM_RETURN_IF_ERROR(
+          EvalScalarSubquery(per_row_scalars[si], rowenv, &scalar_rows[si]));
+      rowenv.Bind(per_row_scalars[si]->id, &scalar_rows[si]);
     }
 
-    // E / A quantifiers.
-    for (Quantifier* q : ea_qs) {
-      std::vector<const Expr*> qpreds;
-      for (PredState& st : preds) {
-        if (st.ea_phase && st.expr->References(q->id)) qpreds.push_back(st.expr);
-      }
+    // E / A quantifiers: E needs some input row satisfying all of its
+    // predicates, A needs every input row to.
+    bool row_ok = true;
+    for (size_t ei = 0; ei < ea_qs.size() && row_ok; ++ei) {
+      Quantifier* q = ea_qs[ei];
       Table scratch;
       SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, rowenv, &scratch));
       stats_.rows_scanned += t->num_rows();
       if (q->type == QuantifierType::kAll && q->requires_empty) {
-        if (t->num_rows() != 0) {
-          row_ok = false;
-          break;
-        }
+        row_ok = t->num_rows() == 0;
         continue;
       }
-      if (q->type == QuantifierType::kExistential) {
-        bool found = qpreds.empty() ? t->num_rows() > 0 : false;
-        for (const Row& srow : t->rows()) {
-          if (found) break;
-          rowenv.Bind(q->id, &srow);
-          bool all_true = true;
-          for (const Expr* p : qpreds) {
-            ++stats_.join_probes;
-            SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*p, rowenv));
-            if (v != TriBool::kTrue) {
-              all_true = false;
-              break;
-            }
-          }
-          if (all_true) found = true;
-        }
-        rowenv.Unbind(q->id);
-        if (!found) {
-          row_ok = false;
-          break;
-        }
-      } else {  // kAll: predicates must hold for every input row
-        bool all_rows_true = true;
-        for (const Row& srow : t->rows()) {
-          rowenv.Bind(q->id, &srow);
-          for (const Expr* p : qpreds) {
-            ++stats_.join_probes;
-            SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*p, rowenv));
-            if (v != TriBool::kTrue) {
-              all_rows_true = false;
-              break;
-            }
-          }
-          if (!all_rows_true) break;
-        }
-        rowenv.Unbind(q->id);
-        if (!all_rows_true) {
-          row_ok = false;
+      const bool existential = q->type == QuantifierType::kExistential;
+      row_ok = !existential;
+      for (const Row& srow : t->rows()) {
+        rowenv.Bind(q->id, &srow);
+        SM_ASSIGN_OR_RETURN(bool holds,
+                            AllTrue(ea_preds[ei], rowenv, &stats_.join_probes));
+        if (holds == existential) {  // E: a witness; A: a counterexample
+          row_ok = existential;
           break;
         }
       }
+      rowenv.Unbind(q->id);
     }
     if (!row_ok) continue;
 
-    // Residual predicates (e.g. involving scalar results).
-    bool keep = true;
-    for (PredState& st : preds) {
-      if (st.applied || st.ea_phase) continue;
-      SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*st.expr, rowenv));
-      if (v != TriBool::kTrue) {
-        keep = false;
-        break;
-      }
-    }
+    SM_ASSIGN_OR_RETURN(bool keep, AllTrue(final_preds, rowenv, nullptr));
     if (!keep) continue;
 
     Row out_row;
@@ -1422,8 +1282,17 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
     state.emplace(bid, Table(graph_->GetBox(bid)->label(), Schema{}));
   }
   RowEnv env;
-  const std::map<int, Table>* prev_in_progress = scc_in_progress_;
-  int prev_id = scc_in_progress_id_;
+  // Members resolve to `state` while the fixpoint runs; the enclosing
+  // SCC's marker comes back on every exit path.
+  struct InProgressGuard {
+    Executor* self;
+    const std::map<int, Table>* prev;
+    int prev_id;
+    ~InProgressGuard() {
+      self->scc_in_progress_ = prev;
+      self->scc_in_progress_id_ = prev_id;
+    }
+  } in_progress{this, scc_in_progress_, scc_in_progress_id_};
   scc_in_progress_ = &state;
   scc_in_progress_id_ = scc_id;
 
@@ -1435,8 +1304,6 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
   while (changed) {
     changed = false;
     if (++iterations > options_.max_fixpoint_iterations) {
-      scc_in_progress_ = prev_in_progress;
-      scc_in_progress_id_ = prev_id;
       return Status::ExecutionError("recursive fixpoint did not converge");
     }
     ++stats_.fixpoint_iterations;
@@ -1446,45 +1313,24 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
     if (gov != nullptr) {
       // Governor round boundary: cancellation/deadline poll plus the
       // fixpoint-iteration budget (cumulative across the query's SCCs).
-      Status gst = gov->CheckPoint();
-      if (gst.ok()) {
-        gst = gov->CheckFixpointIteration(stats_.fixpoint_iterations);
-      }
-      if (!gst.ok()) {
-        scc_in_progress_ = prev_in_progress;
-        scc_in_progress_id_ = prev_id;
-        return gst;
-      }
+      SM_RETURN_IF_ERROR(gov->CheckPoint());
+      SM_RETURN_IF_ERROR(
+          gov->CheckFixpointIteration(stats_.fixpoint_iterations));
     }
     for (int bid : ordered) {
-      Box* b = graph_->GetBox(bid);
-      Result<Table> next = ComputeBox(b, env);
-      if (!next.ok()) {
-        scc_in_progress_ = prev_in_progress;
-        scc_in_progress_id_ = prev_id;
-        return next.status();
-      }
-      if (next->num_rows() != state.at(bid).num_rows()) changed = true;
+      SM_ASSIGN_OR_RETURN(Table next, ComputeBox(graph_->GetBox(bid), env));
+      if (next.num_rows() != state.at(bid).num_rows()) changed = true;
       if (gov != nullptr) {
         // Swap the member's relation charge: new total in, old total out
         // (reserve-then-release so the transient double-count is what a
         // real copy would occupy). The charge survives convergence — the
         // state tables move into the box-result cache below.
-        int64_t old_bytes = TableBytes(state.at(bid));
-        int64_t new_bytes = TableBytes(*next);
-        Status gst = gov->Reserve(new_bytes);
-        if (!gst.ok()) {
-          scc_in_progress_ = prev_in_progress;
-          scc_in_progress_id_ = prev_id;
-          return gst;
-        }
-        gov->Release(old_bytes);
+        SM_RETURN_IF_ERROR(gov->Reserve(TableBytes(next)));
+        gov->Release(TableBytes(state.at(bid)));
       }
-      state.at(bid) = std::move(*next);
+      state.at(bid) = std::move(next);
     }
   }
-  scc_in_progress_ = prev_in_progress;
-  scc_in_progress_id_ = prev_id;
   for (int bid : ordered) {
     // The per-round reserve/release swaps above left exactly the final
     // relation's bytes charged; the table now joins the box-result cache,

@@ -145,6 +145,17 @@ class Executor {
  private:
   /// One joined row combination: the source row of each bound quantifier.
   using ComboVec = std::vector<std::vector<const Row*>>;
+  /// A loop body over combinations [begin, end): appends the joined
+  /// combinations to *out and counts into *stats.
+  using ComboBody = std::function<Status(int64_t begin, int64_t end,
+                                         ComboVec* out, ExecStats* stats)>;
+  /// One index lookup: evaluates the probe key under `env` and fills *ids
+  /// with the positions of the matching stored rows.
+  using IndexProbe =
+      std::function<Status(const RowEnv& env, std::vector<int>* ids)>;
+  /// One ForEach quantifier's join step in ComputeSelect (executor.cc).
+  struct JoinStep;
+
   /// Evaluates `box` under `env`, returning a stable pointer: cached
   /// storage, or `*scratch` when memoization is off for this evaluation.
   Result<const Table*> EvalBox(Box* box, const RowEnv& env, Table* scratch);
@@ -153,6 +164,50 @@ class Executor {
   /// Kind dispatch without the instrumentation wrapper of ComputeBox.
   Result<Table> DispatchBox(Box* box, const RowEnv& env);
   Result<Table> ComputeSelect(Box* box, const RowEnv& env);
+
+  // ComputeSelect's access paths, one per join step. Each appends the
+  // step's joined combinations to *next; the parallel-capable ones also
+  // add the governor bytes they charged for them to *next_bytes.
+  /// Index-nested-loop over an equality index; false (nothing done) when
+  /// no synced index covers the step's equalities.
+  Result<bool> IndexEqStep(const JoinStep& step, const Table& table,
+                           ComboVec* next, int64_t* next_bytes);
+  /// Index-nested-loop over an ordered index's range probe; false when the
+  /// step has no range candidate or no ordered index on its column.
+  Result<bool> IndexRangeStep(const JoinStep& step, const Table& table,
+                              ComboVec* next, int64_t* next_bytes);
+  /// The loop both index steps share: probe per combination, fetch, emit.
+  Status IndexProbeStep(const JoinStep& step, const Table& table,
+                        const std::vector<const Expr*>& preds,
+                        const IndexProbe& probe, ComboVec* next,
+                        int64_t* next_bytes);
+  /// Hash join: builds on the input, probes per combination. The build
+  /// table's governor bytes go to *build_bytes, held to the step's end.
+  Status HashStep(const JoinStep& step, const std::vector<const Row*>& input,
+                  ComboVec* next, int64_t* next_bytes, int64_t* build_bytes);
+  /// Nested loop applying every filter, split over the combinations or,
+  /// when the input rows outnumber them, over the input (partitioned scan).
+  Status ScanStep(const JoinStep& step, const std::vector<const Row*>& input,
+                  ComboVec* next, int64_t* next_bytes);
+  /// Correlated nested loop: evaluates the input once per combination.
+  /// Sequential — it calls EvalBox.
+  Status CorrelatedStep(const JoinStep& step, ComboVec* next);
+  /// Materializes the input of a hash or scan step as stable row pointers.
+  Result<std::vector<const Row*>> StepInput(const JoinStep& step);
+
+  /// Runs `body` over [0, n): through ParallelAppend when the loop is
+  /// large enough (ShouldParallelize), otherwise as one direct call into
+  /// *next and stats_.
+  Status AppendOverCombos(int64_t n, const ComboBody& body, ComboVec* next,
+                          int64_t* next_bytes);
+  /// Appends `combo` extended by `row` to *out; fails once *out exceeds
+  /// the per-box row cap.
+  Status EmitJoined(const std::vector<const Row*>& combo, const Row* row,
+                    ComboVec* out) const;
+  /// Evaluates scalar quantifier `q`'s subquery under `env` into *row: its
+  /// single row, or all NULLs when it is empty; more rows are an error.
+  Status EvalScalarSubquery(const Quantifier* q, const RowEnv& env, Row* row);
+
   Result<Table> ComputeGroupBy(Box* box, const RowEnv& env);
   Result<Table> ComputeSetOp(Box* box, const RowEnv& env);
   Result<Table> ComputeCustom(Box* box, const RowEnv& env);
@@ -180,11 +235,8 @@ class Executor {
   /// each morsel's buffer bytes are reserved worker-side as the morsel
   /// completes and the total is added to *charged_bytes (the caller
   /// releases them when the buffered combinations die).
-  Status ParallelAppend(
-      int64_t n,
-      const std::function<Status(int64_t begin, int64_t end, ComboVec* out,
-                                 ExecStats* stats)>& body,
-      ComboVec* next, int64_t* charged_bytes);
+  Status ParallelAppend(int64_t n, const ComboBody& body, ComboVec* next,
+                        int64_t* charged_bytes);
 
   QueryGraph* graph_;
   const Catalog* catalog_;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <vector>
 
 #include "common/string_util.h"
@@ -178,6 +180,7 @@ struct RunOutcome {
   ExecStats stats;
   std::map<int, BoxExecStats> box_stats;
   ParallelStats parallel;
+  int64_t peak_bytes = 0;  ///< governor peak (unlimited budget)
 };
 
 void ExpectSameStats(const ExecStats& a, const ExecStats& b,
@@ -224,7 +227,8 @@ class ParallelExecutorTest : public ::testing::Test {
   }
 
   /// Optimizes `sql` fresh and executes it with `threads` workers and a
-  /// small morsel size so the 500-row tables split into many morsels.
+  /// small morsel size so the 500-row tables split into many morsels. An
+  /// unlimited governor records the run's peak bytes.
   RunOutcome Run(const std::string& sql, int threads,
                  QueryOptions qopts = QueryOptions(),
                  int64_t max_rows_per_box = 200'000'000) {
@@ -240,6 +244,8 @@ class ParallelExecutorTest : public ::testing::Test {
     eo.morsel_size = 16;
     eo.collect_box_stats = true;
     eo.max_rows_per_box = max_rows_per_box;
+    ResourceGovernor governor{ResourceBudget{}};
+    eo.governor = &governor;
     Executor executor(p->graph.get(), db_.catalog(), eo);
     auto t = executor.Run();
     out.status = t.status();
@@ -247,56 +253,140 @@ class ParallelExecutorTest : public ::testing::Test {
     out.stats = executor.stats();
     out.box_stats = executor.box_stats();
     out.parallel = executor.parallel_stats();
+    out.peak_bytes = governor.peak_bytes();
     return out;
   }
 
-  /// Runs `sql` at 1, 2, and 8 threads and asserts identical rows (in
-  /// order) and bit-identical ExecStats.
-  void ExpectDeterministic(const std::string& sql,
-                           QueryOptions qopts = QueryOptions()) {
+  /// The access-path determinism matrix. `took_path` first checks, on the
+  /// sequential and the 2-thread run, that `sql` really takes the path
+  /// under test. Then the 2- and 8-thread runs must match the sequential
+  /// one in rows (in order), ExecStats and governor peak bytes, and a
+  /// 100-row cap must fail with the same error at every thread count.
+  void ExpectDeterministic(
+      const std::string& sql, const QueryOptions& qopts,
+      const std::function<void(const RunOutcome& seq,
+                               const RunOutcome& two)>& took_path) {
     RunOutcome seq = Run(sql, 1, qopts);
     ASSERT_TRUE(seq.status.ok()) << sql << " -> " << seq.status.ToString();
+    ASSERT_GT(seq.table.num_rows(), 100) << sql;
+    RunOutcome two = Run(sql, 2, qopts);
+    ASSERT_TRUE(two.status.ok()) << sql << " -> " << two.status.ToString();
+    took_path(seq, two);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(seq.peak_bytes, 0) << sql;
     for (int threads : {2, 8}) {
-      RunOutcome par = Run(sql, threads, qopts);
+      RunOutcome par = threads == 2 ? std::move(two) : Run(sql, threads, qopts);
       std::string label = StrCat(sql, " @ threads=", threads);
       ASSERT_TRUE(par.status.ok()) << label << " -> "
                                    << par.status.ToString();
       ExpectSameRowsInOrder(seq.table, par.table, label);
       ExpectSameStats(seq.stats, par.stats, label);
+      EXPECT_EQ(seq.peak_bytes, par.peak_bytes) << label;
+    }
+    RunOutcome capped = Run(sql, 1, qopts, /*max_rows_per_box=*/100);
+    ASSERT_FALSE(capped.status.ok()) << sql;
+    for (int threads : {2, 8}) {
+      RunOutcome par = Run(sql, threads, qopts, /*max_rows_per_box=*/100);
+      EXPECT_EQ(par.status.ToString(), capped.status.ToString())
+          << sql << " @ threads=" << threads;
     }
   }
 
   Database db_;
 };
 
+// One case per join step of Executor::ComputeSelect.
+
 TEST_F(ParallelExecutorTest, FilterScanIsDeterministic) {
   // No ORDER BY: the determinism contract promises the *sequential* row
   // order at every thread count, not merely the same bag.
-  ExpectDeterministic("SELECT id, amount FROM fact WHERE amount > 100");
+  ExpectDeterministic(
+      "SELECT id, amount FROM fact WHERE amount > 100", QueryOptions(),
+      [](const RunOutcome& seq, const RunOutcome& two) {
+        EXPECT_EQ(seq.stats.join_probes, 500);
+        // Partitioned scan: one loop over the single empty combination,
+        // split over the 500 input rows.
+        EXPECT_EQ(two.parallel.tasks, 1);
+        EXPECT_EQ(two.parallel.morsels, (500 + 15) / 16);
+      });
 }
 
 TEST_F(ParallelExecutorTest, HashJoinIsDeterministic) {
   ExpectDeterministic(
       "SELECT f.id, d.label FROM fact f, dim d "
-      "WHERE f.grp = d.grp AND f.amount > 50");
+      "WHERE f.grp = d.grp AND f.amount > 50",
+      QueryOptions(), [](const RunOutcome& seq, const RunOutcome& two) {
+        EXPECT_EQ(seq.stats.index_probes, 0);
+        // A nested loop would need at least |fact| * |dim| probes.
+        EXPECT_LT(seq.stats.join_probes, 500 * 23);
+        EXPECT_GT(two.parallel.tasks, 0);
+      });
 }
 
 TEST_F(ParallelExecutorTest, NonEquiJoinIsDeterministic) {
-  // No usable equality predicate: exercises the parallel nested-loop path.
+  // No usable equality predicate, and the fact rows outnumber the dim
+  // combinations: a partitioned scan of fact per dim row.
   ExpectDeterministic(
       "SELECT f.id, d.grp FROM fact f, dim d "
-      "WHERE f.grp < d.grp AND f.id < 100");
+      "WHERE f.grp < d.grp AND f.id < 100",
+      QueryOptions(), [](const RunOutcome& seq, const RunOutcome& two) {
+        EXPECT_EQ(seq.stats.join_probes, 23 + 23 * 500);
+        // One loop for the dim scan, then one per dim row.
+        EXPECT_EQ(two.parallel.tasks, 1 + 23);
+      });
+}
+
+TEST_F(ParallelExecutorTest, NestedLoopOverCombinationsIsDeterministic) {
+  // As many combinations as input rows: the nested loop splits over the
+  // combinations instead.
+  ExpectDeterministic(
+      "SELECT a.grp, b.grp FROM dim a, dim b WHERE a.grp < b.grp",
+      QueryOptions(), [](const RunOutcome& seq, const RunOutcome& two) {
+        EXPECT_EQ(seq.stats.join_probes, 23 + 23 * 23);
+        EXPECT_EQ(two.parallel.tasks, 2);
+      });
 }
 
 TEST_F(ParallelExecutorTest, IndexProbeIsDeterministic) {
   ASSERT_TRUE(db_.Execute("CREATE INDEX fact_grp ON fact (grp)").ok());
-  RunOutcome seq = Run(
-      "SELECT f.id FROM dim d, fact f WHERE d.grp = f.grp", 1);
-  ASSERT_TRUE(seq.status.ok());
-  // The plan must actually have used the index for this test to mean
-  // anything.
-  ASSERT_GT(seq.stats.index_probes, 0);
-  ExpectDeterministic("SELECT f.id FROM dim d, fact f WHERE d.grp = f.grp");
+  ExpectDeterministic(
+      "SELECT f.id FROM dim d, fact f WHERE d.grp = f.grp", QueryOptions(),
+      [](const RunOutcome& seq, const RunOutcome&) {
+        // One equality probe per dim row.
+        EXPECT_EQ(seq.stats.index_probes, 23);
+        EXPECT_EQ(seq.stats.index_rows_fetched, 500);
+      });
+}
+
+TEST_F(ParallelExecutorTest, IndexRangeProbeIsDeterministic) {
+  ASSERT_TRUE(
+      db_.Execute("CREATE INDEX fact_id ON fact (id) USING ORDERED").ok());
+  ExpectDeterministic(
+      "SELECT d.grp, f.id FROM dim d, fact f WHERE f.id < d.grp * 20",
+      QueryOptions(), [](const RunOutcome& seq, const RunOutcome&) {
+        // No equality to probe with: one range probe per dim row, fetching
+        // ids 0 .. 20 * grp - 1.
+        EXPECT_EQ(seq.stats.index_probes, 23);
+        EXPECT_EQ(seq.stats.index_rows_fetched, 20 * (22 * 23 / 2));
+      });
+}
+
+TEST_F(ParallelExecutorTest, CorrelatedNestedLoopIsDeterministic) {
+  ASSERT_TRUE(db_.Execute("CREATE VIEW fact_ids (grp, id, n) AS "
+                          "SELECT grp, id, COUNT(*) FROM fact GROUP BY grp, id")
+                  .ok());
+  ExpectDeterministic(
+      "SELECT d.label, v.id FROM dim d, fact_ids v WHERE d.grp = v.grp",
+      QueryOptions(ExecutionStrategy::kCorrelated),
+      [](const RunOutcome& seq, const RunOutcome&) {
+        // The join predicate moved into the view, which is evaluated once
+        // per dim row.
+        int64_t most_evaluations = 0;
+        for (const auto& [id, b] : seq.box_stats) {
+          most_evaluations = std::max(most_evaluations, b.evaluations);
+        }
+        EXPECT_EQ(most_evaluations, 23);
+      });
 }
 
 TEST_F(ParallelExecutorTest, BoxRowsOutReconcilesWithRowsProduced) {
